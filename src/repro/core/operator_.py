@@ -109,17 +109,6 @@ class _Chain:
         session_gaps = [w.gap for w in self.session_windows]
         track_counts = measure_kind is MeasureKind.COUNT
 
-        self.manager = SliceManager(
-            self.store,
-            store_records=characteristics.store_tuples,
-            track_counts=track_counts,
-            session_gap=min(session_gaps) if session_gaps else None,
-            floor_time_edge=self.floor_time_edge,
-            ceil_time_edge=self.ceil_time_edge,
-            edge_in_region=self.edge_in_region,
-            is_count_edge=self.is_count_edge,
-            on_modified=self._record_modification,
-        )
         self.edges_move = bool(session_gaps) or any(
             isinstance(w, PunctuationWindow) for w in self._windows
         )
@@ -131,6 +120,18 @@ class _Chain:
             store_records=characteristics.store_tuples,
             track_counts=track_counts,
             edges_move=self.edges_move,
+        )
+        self.manager = SliceManager(
+            self.store,
+            store_records=characteristics.store_tuples,
+            track_counts=track_counts,
+            session_gap=min(session_gaps) if session_gaps else None,
+            floor_time_edge=self.floor_time_edge,
+            ceil_time_edge=self.ceil_time_edge,
+            edge_in_region=self.edge_in_region,
+            is_count_edge=self.is_count_edge,
+            on_modified=self._record_modification,
+            on_reshaped=self.slicer.store_reshaped,
         )
         self.window_manager = WindowManager(
             self.store, self.manager, emit_empty=emit_empty, share_windows=share_windows
@@ -303,6 +304,11 @@ class GeneralSlicingOperator(WindowOperator):
         self._timestamp_of = timestamp_of
         self._chains: Dict[MeasureKind, _Chain] = {}
         self._chain_list: tuple = ()
+        #: The chain served by the fused in-order path of
+        #: :meth:`process_record`, or ``None`` when every record takes
+        #: the exact path (no queries, several chains, or a measure
+        #: extractor).  Derived on every query change.
+        self._fused_chain: Optional[_Chain] = None
         self._max_ts: Optional[int] = None
         self._watermark: Optional[int] = None
         self._arrived = 0
@@ -334,6 +340,10 @@ class GeneralSlicingOperator(WindowOperator):
             )
         self._chains = rebuilt
         self._chain_list = tuple(rebuilt.values())
+        # Whether a record may skip the slicer is the slicer's own call
+        # (its ``bound``); the operator only decides which chain to ask.
+        single = len(self._chain_list) == 1 and self._timestamp_of is None
+        self._fused_chain = self._chain_list[0] if single else None
         self._on_tracing_changed()
 
     def _on_tracing_changed(self) -> None:
@@ -368,6 +378,25 @@ class GeneralSlicingOperator(WindowOperator):
     # record processing
 
     def process_record(self, record: Record) -> List[WindowResult]:
+        chain = self._fused_chain
+        if chain is not None:
+            # Fused in-order path: a record at or after the newest one
+            # that stays below the slicer's bound crosses no slice edge,
+            # so it is one fold into the open head -- no cut, no emission.
+            bound = chain.slicer.bound
+            max_ts = self._max_ts
+            ts = record.ts
+            if bound is not None and max_ts is not None and max_ts <= ts < bound:
+                store = chain.store
+                slices = store.slices
+                slices[-1].add_inorder(record, chain.functions)
+                if chain.eager_store:
+                    store.slice_updated(len(slices) - 1)
+                self._max_ts = ts
+                self._arrived += 1
+                if self._tracer is not None:
+                    self._tracer.count("operator.records")
+                return []
         if self._timestamp_of is not None:
             record = Record(self._timestamp_of(record), record.value, record.key)
         return self._process_record_inner(record)

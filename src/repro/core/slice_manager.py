@@ -66,6 +66,7 @@ class SliceManager:
         edge_in_region: Callable[[int, int], bool] = lambda lo, hi: False,
         is_count_edge: Callable[[int], bool] = lambda count: False,
         on_modified: Optional[Callable[[Modification], None]] = None,
+        on_reshaped: Callable[[], None] = lambda: None,
     ) -> None:
         self._store = store
         self.store_records = store_records
@@ -77,6 +78,9 @@ class SliceManager:
         self._edge_in_region = edge_in_region
         self._is_count_edge = is_count_edge
         self._on_modified = on_modified or (lambda modification: None)
+        #: Called after every slice insertion or removal (gap slices,
+        #: splits, merges) so the stream slicer can drop its head bound.
+        self._on_reshaped = on_reshaped
         #: Observability sink; ``None`` (the default) is the no-op fast
         #: path -- attached by ``WindowOperator.enable_tracing()``.
         self.tracer: Optional[Tracer] = None
@@ -180,6 +184,7 @@ class SliceManager:
                 gap.end_kind = Slice.END_COUNT
         index = (before + 1) if before is not None else 0
         self._store.insert_slice(index, gap)
+        self._on_reshaped()
         if self.tracer is not None:
             self.tracer.count("slice_manager.gap_slices")
         return index
@@ -224,6 +229,7 @@ class SliceManager:
         left = self._store.slices[index]
         # The store variants track trees by index; re-sync both positions.
         self._store.insert_slice(index + 1, right)
+        self._on_reshaped()
         self._store.slice_updated(index)
         self._store.slice_updated(index + 1)
         if self.tracer is not None:
@@ -268,6 +274,7 @@ class SliceManager:
             return right_index  # count edges must keep their boundary
         left.merge_from(right, self.functions)
         self._store.remove_slice(right_index)
+        self._on_reshaped()
         self._store.slice_updated(left_index)
         if self.tracer is not None:
             self.tracer.count("slice_manager.merges")
@@ -378,6 +385,7 @@ class SliceManager:
             return False
         left.merge_from(right, self.functions)
         self._store.remove_slice(position)
+        self._on_reshaped()
         self._store.slice_updated(position - 1)
         if self.tracer is not None:
             self.tracer.count("slice_manager.merges")

@@ -15,6 +15,12 @@ Count-measure edges are tracked separately: the record count advances by
 exactly one per record, so count slices close precisely when the
 cumulative count reaches the next count edge.
 
+The slicer publishes that single comparison as :attr:`StreamSlicer.bound`:
+the exclusive upper timestamp below which the open head slice absorbs an
+in-order record with no slicer work at all.  The operator checks it and
+folds such records straight into the head, so a record that crosses no
+edge never enters the slicer.
+
 The slicer never sees out-of-order records or watermarks; the operator
 routes those straight to the slice manager (Figure 7).
 """
@@ -72,16 +78,25 @@ class StreamSlicer:
         self._store_records = store_records
         self._track_counts = track_counts
         self._edges_move = edges_move
+        # Count edges advance with every record and moving edges shift
+        # after every record, so only fixed time edges can be bounded.
+        self._boundable = not track_counts and not edges_move
         self._cached_time_edge: Optional[int] = None
         self._cached_count_edge: Optional[int] = None
         self._cache_valid = False
         #: Whether the last ensure_open_slice call closed/opened a slice
         #: (windows can only end at slice cuts, so emission checks key off it).
         self.cut_performed = False
-        #: Ablation switch: disable the cached next-edge so every record
-        #: recomputes the upcoming window edge (the paper's Step 1
-        #: optimization turned off; see benchmarks/test_ablations.py).
-        self.cache_edges = True
+        self._cache_edges = True
+        #: Exclusive upper timestamp below which an in-order record (one
+        #: at or after the newest record so far) belongs to the open head
+        #: slice and needs no slicer work; ``None`` when every record
+        #: must come through :meth:`ensure_open_slice` (also when no edge
+        #: lies ahead).  Republished on every return from
+        #: :meth:`ensure_open_slice`; cleared by :meth:`invalidate_cache`,
+        #: by :meth:`store_reshaped`, while :attr:`cache_edges` is off,
+        #: and permanently when count or moving edges are tracked.
+        self.bound: Optional[int] = None
         #: Observability sink; ``None`` (the default) is the no-op fast
         #: path -- attached by ``WindowOperator.enable_tracing()``.
         self.tracer: Optional[Tracer] = None
@@ -96,9 +111,33 @@ class StreamSlicer:
     def store_records(self, value: bool) -> None:
         self._store_records = value
 
+    @property
+    def cache_edges(self) -> bool:
+        """Ablation switch: when off, every record recomputes the upcoming
+        window edge (the paper's Step 1 optimization turned off; see
+        benchmarks/test_ablations.py) and no :attr:`bound` is published."""
+        return self._cache_edges
+
+    @cache_edges.setter
+    def cache_edges(self, value: bool) -> None:
+        self._cache_edges = value
+        if not value:
+            self.bound = None
+
     def invalidate_cache(self) -> None:
         """Force recomputation of the cached edges (workload changed)."""
         self._cache_valid = False
+        self.bound = None
+
+    def store_reshaped(self) -> None:
+        """Notification: a slice was inserted into or removed from the
+        store outside the slicer (gap slice, split, merge).
+
+        The cached edges stay valid, but the open head may have changed,
+        so the next in-order record takes :meth:`ensure_open_slice`,
+        which republishes the bound.
+        """
+        self.bound = None
 
     def _num_functions(self) -> int:
         return len(self._store.functions)
@@ -133,7 +172,7 @@ class StreamSlicer:
         incoming record belongs to.
         """
         self.cut_performed = False
-        if not self.cache_edges:
+        if not self._cache_edges:
             self._cache_valid = False
         head = self._store.head
         if head is None or head.end is not None:
@@ -187,6 +226,8 @@ class StreamSlicer:
         assert head is not None and head.end is None
         if self.cut_performed and self.tracer is not None:
             self.tracer.count("slicer.cuts")
+        if self._boundable and self._cache_edges:
+            self.bound = self._cached_time_edge
         return head
 
     def after_record(self, ts: int) -> None:

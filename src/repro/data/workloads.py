@@ -46,8 +46,10 @@ def dashboard_windows(concurrent_windows: int) -> List[TumblingWindow]:
 
     ``concurrent_windows`` tumbling queries imply the same number of
     concurrent windows at any instant (one open window per query).
-    Lengths cycle through the 1-20 s range with distinct offsets so the
-    edge sets differ, as the dashboard zoom levels do.
+    Lengths cycle through 1, 2, ..., 20 s, as the dashboard zoom levels
+    do.  Every window has offset 0, so every edge falls on a whole
+    second and windows whose lengths share a factor share edges; beyond
+    20 windows the lengths repeat.
     """
     if concurrent_windows <= 0:
         raise ValueError("need at least one window")
